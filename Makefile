@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race race-conc bench bench-cache bench-snapshot check ci check-golden update-golden figures figures-cached lmbench ablations profile fmt vet lint lint-conc lint-hot lint-fix lint-fix-clean pgo-fresh server-smoke shard-smoke clean
+.PHONY: build test test-short race race-conc bench bench-cache bench-gate check ci check-golden update-golden figures figures-cached lmbench ablations profile fmt vet lint lint-conc lint-hot lint-fix lint-fix-clean pgo-fresh server-smoke shard-smoke clean
 
 build:
 	$(GO) build ./...
@@ -94,7 +94,7 @@ ci:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) test -race -short ./...
 	$(MAKE) check-golden
-	$(MAKE) bench-snapshot
+	$(MAKE) bench-gate
 
 # The paper-fidelity gate alone: rerun every study at the golden scale and
 # diff against the checked-in artifacts with their tolerance bands. The
@@ -115,20 +115,11 @@ update-golden:
 bench-cache:
 	$(GO) test -run '^$$' -bench 'BenchmarkStudyCache(Cold|Warm)' -benchtime=3x -benchmem
 
-# Raw-speed trajectory (see PERFORMANCE.md): measure simulator throughput
-# on the fixed cmd/benchsnap grid, write the fresh measurement to
-# bench-snapshot.json (CI uploads it as an artifact), and gate against the
-# newest checked-in BENCH_*.json — a >20% total cells/s regression fails.
-# To pin a new baseline after an intentional speed change:
-#   go run ./cmd/benchsnap -reps 5 -out BENCH_$$(date +%Y%m%d).json -date $$(date +%Y-%m-%d)
-BENCH_BASELINE := $(lastword $(sort $(wildcard BENCH_*.json)))
-# -best 3 keeps the fastest of three full measurements before the gate:
-# shared-runner noise only ever slows a run down, so the max is the
-# honest throughput estimate and the gate stops tripping on scheduler
-# weather instead of engine regressions.
-bench-snapshot:
-	$(GO) run ./cmd/benchsnap -reps 5 -best 3 -out bench-snapshot.json \
-		$(if $(BENCH_BASELINE),-check $(BENCH_BASELINE))
+# Engine speed gate (see PERFORMANCE.md): BenchmarkCell's six CG/EP cells
+# on HEAD's first parent and on the working tree, measured on this host in
+# this run; a >20% drop in total cells/s against the parent fails.
+bench-gate:
+	./scripts/bench-gate.sh
 
 # End-to-end smoke gate for the experiment server: build cmd/xeond and
 # cmd/xeonctl, boot the daemon on loopback, run the single-program study

@@ -318,9 +318,9 @@ func BenchmarkAblationNoSMTPartitioning(b *testing.B) {
 // the engine optimizations move: the memory-bound CG (dominated by cache
 // and bus model traffic) against the compute-bound EP (dominated by the
 // issue loop), each serial, with Hyper-Threading sharing one core, and
-// with two dedicated cores. cmd/benchsnap runs the same grid to produce
-// the BENCH_*.json trajectory; these benchmarks are the interactive view
-// (compare with benchstat across commits). The bytes/s column reads as
+// with two dedicated cores. make bench-gate runs this grid on the parent
+// commit and the working tree on the same host and fails on a >20% drop in
+// total cells/s (see PERFORMANCE.md). The bytes/s column reads as
 // simulated instructions per second.
 func BenchmarkCell(b *testing.B) {
 	for _, bn := range []string{"CG", "EP"} {
@@ -343,27 +343,6 @@ func BenchmarkCell(b *testing.B) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// BenchmarkSimulatorThroughput measures raw simulation speed: simulated
-// instructions per second for a serial CG run.
-func BenchmarkSimulatorThroughput(b *testing.B) {
-	cg, err := profiles.ByName("CG")
-	if err != nil {
-		b.Fatal(err)
-	}
-	serial, err := config.ByArch(config.Serial)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt := benchOptions(0.1)
-	instr := int64(float64(cg.SerialInstr) * opt.Scale)
-	b.SetBytes(instr) // bytes/s metric reads as simulated instructions/s
-	for i := 0; i < b.N; i++ {
-		if _, err := core.RunSingle(cg, serial, opt); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -21,21 +21,17 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"xeonomp/internal/cache"
 	"xeonomp/internal/config"
 	"xeonomp/internal/core"
-	"xeonomp/internal/journal"
 	"xeonomp/internal/machine"
-	"xeonomp/internal/obs"
 	"xeonomp/internal/profiles"
 	"xeonomp/internal/report"
-	"xeonomp/internal/runcache"
+	"xeonomp/internal/runflags"
 	"xeonomp/internal/sched"
 	"xeonomp/internal/units"
 )
@@ -109,83 +105,28 @@ func run() (err error) {
 	var (
 		which = flag.String("ablation", "all", "prefetch, bus, l2, l2-random, smt, policy, symbiosis or all")
 		scale = flag.Float64("scale", 0.5, "instruction-budget scale factor")
-
-		cacheDir  = flag.String("cache-dir", "", "persist the run cache to this directory (shareable with cmd/xeonchar)")
-		cacheSize = flag.Int("cache-size", 0, "in-memory run-cache entries (0 = default 4096, negative disables caching)")
-		jpath     = flag.String("journal", "", "append every completed cell to this JSONL run journal")
-		resume    = flag.Bool("resume", false, "replay the -journal file before running, skipping already-completed cells")
-		progIvl   = flag.Duration("progress", 10*time.Second, "progress-report interval on stderr (0 disables)")
-
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace_event JSON of study/cell spans to this file (chrome://tracing, Perfetto)")
-		metricsOut = flag.String("metrics-out", "", "write a JSON snapshot of the obs metric registry to this file on exit")
 	)
+	rf := runflags.Register("sweep", "persist the run cache to this directory (shareable with cmd/xeonchar)")
 	flag.Parse()
 
-	if *resume && *jpath == "" {
-		fmt.Fprintln(os.Stderr, "sweep: -resume requires -journal")
+	if err := rf.Check(); err != nil {
+		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(2)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *traceOut != "" {
-		obs.SetTracer(obs.NewTracer())
-		defer func() {
-			if werr := writeObsFile(*traceOut, obs.CurrentTracer().WriteTrace); werr != nil && err == nil {
-				err = werr
-			}
-		}()
-	}
-	if *metricsOut != "" {
-		defer func() {
-			if werr := writeObsFile(*metricsOut, obs.Default.WriteJSON); werr != nil && err == nil {
-				err = werr
-			}
-		}()
-	}
-
-	optFns := []core.Option{core.WithScale(*scale)}
-	var rc *runcache.Cache
-	if *cacheSize >= 0 {
-		c, cerr := runcache.New(*cacheSize, *cacheDir)
-		if cerr != nil {
-			return cerr
+	defer func() {
+		if ferr := rf.Finish(); ferr != nil && err == nil {
+			err = ferr
 		}
-		rc = c
-		optFns = append(optFns, core.WithCache(rc))
+	}()
+	optFns, err := rf.Open()
+	if err != nil {
+		return err
 	}
-	if *jpath != "" {
-		if !*resume {
-			if err := os.Remove(*jpath); err != nil && !os.IsNotExist(err) {
-				return err
-			}
-		}
-		jn, jerr := journal.Open(*jpath)
-		if jerr != nil {
-			return jerr
-		}
-		defer func() {
-			if cerr := jn.Close(); cerr != nil {
-				fmt.Fprintln(os.Stderr, "sweep: closing journal:", cerr)
-			}
-		}()
-		if *resume {
-			fmt.Fprintf(os.Stderr, "resuming: %d completed cells replayed from %s\n", jn.Len(), *jpath)
-		}
-		optFns = append(optFns, core.WithJournal(jn))
-	}
-	if *progIvl > 0 {
-		prog := journal.NewProgress(os.Stderr, *progIvl)
-		optFns = append(optFns, core.WithProgress(prog))
-		defer func() {
-			prog.Finish()
-			if s := rc.Stats(); s.Hits()+s.Misses > 0 {
-				fmt.Fprintf(os.Stderr, "run cache: %d mem hits, %d disk hits, %d misses (%.1f%% hit rate)\n",
-					s.MemHits, s.DiskHits, s.Misses, 100*s.HitRate())
-			}
-		}()
-	}
+	optFns = append(optFns, core.WithScale(*scale))
 	base, err := core.NewOptions(optFns...)
 	if err != nil {
 		return err
@@ -214,20 +155,6 @@ func run() (err error) {
 		}
 	}
 	return nil
-}
-
-// writeObsFile creates path and streams one observability dump into it.
-func writeObsFile(path string, write func(w io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := write(f)
-	cerr := f.Close()
-	if werr != nil {
-		return werr
-	}
-	return cerr
 }
 
 // runSingleAblation compares per-benchmark speedups with and without the

@@ -40,17 +40,14 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"syscall"
-	"time"
 
 	"xeonomp/internal/config"
 	"xeonomp/internal/core"
-	"xeonomp/internal/journal"
 	"xeonomp/internal/lmbench"
 	"xeonomp/internal/machine"
-	"xeonomp/internal/obs"
 	"xeonomp/internal/profiles"
 	"xeonomp/internal/report"
-	"xeonomp/internal/runcache"
+	"xeonomp/internal/runflags"
 	"xeonomp/internal/sched"
 	"xeonomp/internal/stats"
 	"xeonomp/internal/units"
@@ -91,16 +88,9 @@ func run() (err error) {
 		phases     = flag.String("phases", "", "print a VTune-style phase time series for the named benchmark (e.g. CG)")
 		archStr    = flag.String("arch", string(config.CMT), "architecture for -phases (Table-1 name, e.g. \"CMT\")")
 
-		cacheDir  = flag.String("cache-dir", "", "persist the run cache to this directory (warm reruns become lookups)")
-		cacheSize = flag.Int("cache-size", 0, "in-memory run-cache entries (0 = default 4096, negative disables caching)")
-		jpath     = flag.String("journal", "", "append every completed cell to this JSONL run journal")
-		resume    = flag.Bool("resume", false, "replay the -journal file before running, skipping already-completed cells")
-		progIvl   = flag.Duration("progress", 10*time.Second, "progress-report interval on stderr (0 disables)")
-
-		traceOut   = flag.String("trace-out", "", "write a Chrome trace_event JSON of study/cell spans to this file (chrome://tracing, Perfetto)")
-		metricsOut = flag.String("metrics-out", "", "write a JSON snapshot of the obs metric registry to this file on exit")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file; samples carry per-cell pprof labels")
 	)
+	rf := runflags.Register("xeonchar", "persist the run cache to this directory (warm reruns become lookups)")
 	flag.Parse()
 
 	if *phases == "" && *exportJSON == "" && *checkDir == "" && !*updateGold &&
@@ -108,22 +98,13 @@ func run() (err error) {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *resume && *jpath == "" {
-		fmt.Fprintln(os.Stderr, "xeonchar: -resume requires -journal")
+	if err := rf.Check(); err != nil {
+		fmt.Fprintln(os.Stderr, "xeonchar:", err)
 		os.Exit(2)
 	}
-	var pol sched.Policy
-	switch *policy {
-	case "alternate":
-		pol = sched.Alternate
-	case "block":
-		pol = sched.Block
-	case "round-robin":
-		pol = sched.RoundRobin
-	case "symbiotic":
-		pol = sched.Symbiotic
-	default:
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policy)
+	pol, err := sched.ParsePolicy(*policy)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "xeonchar:", err)
 		os.Exit(2)
 	}
 
@@ -132,20 +113,14 @@ func run() (err error) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if *traceOut != "" {
-		obs.SetTracer(obs.NewTracer())
-		defer func() {
-			if werr := writeTraceFile(*traceOut); werr != nil && err == nil {
-				err = werr
-			}
-		}()
-	}
-	if *metricsOut != "" {
-		defer func() {
-			if werr := writeMetricsFile(*metricsOut); werr != nil && err == nil {
-				err = werr
-			}
-		}()
+	defer func() {
+		if ferr := rf.Finish(); ferr != nil && err == nil {
+			err = ferr
+		}
+	}()
+	runOpts, err := rf.Open()
+	if err != nil {
+		return err
 	}
 	if *cpuProfile != "" {
 		f, cerr := os.Create(*cpuProfile)
@@ -164,13 +139,13 @@ func run() (err error) {
 		}()
 	}
 
-	optFns := []core.Option{
+	optFns := append(runOpts,
 		core.WithScale(*scale),
 		core.WithSeed(*seed),
 		core.WithWorkers(*workers),
 		core.WithWarmupFrac(*warmup),
 		core.WithPolicy(pol),
-	}
+	)
 	if *machCfg != "" {
 		f, err := os.Open(*machCfg)
 		if err != nil {
@@ -184,51 +159,6 @@ func run() (err error) {
 		optFns = append(optFns, core.WithMachine(&mc))
 	}
 
-	var cache *runcache.Cache
-	if *cacheSize >= 0 {
-		c, err := runcache.New(*cacheSize, *cacheDir)
-		if err != nil {
-			return err
-		}
-		cache = c
-		optFns = append(optFns, core.WithCache(cache))
-	}
-	if *jpath != "" {
-		if !*resume {
-			// Without -resume a journal records this invocation only.
-			if err := os.Remove(*jpath); err != nil && !os.IsNotExist(err) {
-				return err
-			}
-		}
-		jn, err := journal.Open(*jpath)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if cerr := jn.Close(); cerr != nil {
-				fmt.Fprintln(os.Stderr, "xeonchar: closing journal:", cerr)
-			}
-		}()
-		if *resume {
-			fmt.Fprintf(os.Stderr, "resuming: %d completed cells replayed from %s", jn.Len(), *jpath)
-			if n := jn.Skipped(); n > 0 {
-				fmt.Fprintf(os.Stderr, " (%d corrupt line(s) discarded)", n)
-			}
-			fmt.Fprintln(os.Stderr)
-		}
-		optFns = append(optFns, core.WithJournal(jn))
-	}
-	if *progIvl > 0 {
-		prog := journal.NewProgress(os.Stderr, *progIvl)
-		optFns = append(optFns, core.WithProgress(prog))
-		defer func() {
-			prog.Finish()
-			if s := cache.Stats(); s.Hits()+s.Misses > 0 {
-				fmt.Fprintf(os.Stderr, "run cache: %d mem hits, %d disk hits, %d misses (%.1f%% hit rate), %d evictions\n",
-					s.MemHits, s.DiskHits, s.Misses, 100*s.HitRate(), s.Evictions)
-			}
-		}()
-	}
 	opt, err := core.NewOptions(optFns...)
 	if err != nil {
 		return err
@@ -366,34 +296,6 @@ func run() (err error) {
 		}
 	}
 	return nil
-}
-
-// writeTraceFile dumps the process tracer's spans as Chrome trace JSON.
-func writeTraceFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := obs.CurrentTracer().WriteTrace(f)
-	cerr := f.Close()
-	if werr != nil {
-		return werr
-	}
-	return cerr
-}
-
-// writeMetricsFile dumps the default metric registry as JSON.
-func writeMetricsFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := obs.Default.WriteJSON(f)
-	cerr := f.Close()
-	if werr != nil {
-		return werr
-	}
-	return cerr
 }
 
 func runLmbench(emit func(*report.Table) error) error {

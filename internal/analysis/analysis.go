@@ -52,8 +52,8 @@
 //     loop-invariant map lookups, channel ops; hot→cold calls into
 //     functions too large to inline are advisory notes
 //   - benchparity: every profile-hot function is reachable from a
-//     Benchmark* in the module, so the BENCH_*.json perf gate has no
-//     blind spot where the profile says the time goes
+//     Benchmark* in the module, so the benchmarks have no blind spot
+//     where the profile says the time goes
 //
 // Findings can be suppressed per line with
 //

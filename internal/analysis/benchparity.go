@@ -15,8 +15,8 @@ import (
 // suite: every function the PGO profile marks hot must be reachable from
 // some Benchmark* in the module, or carry a reasoned //xeonlint:ignore.
 // A hot function no benchmark exercises is a function whose regressions
-// BENCH_*.json snapshots cannot catch — the perf gate has a blind spot
-// exactly where the profile says the time goes.
+// no benchmark can catch — the perf gate has a blind spot exactly where
+// the profile says the time goes.
 //
 // Reachability is computed over the static call graph, seeded from
 // Benchmark* functions in the module's _test.go files (parsed

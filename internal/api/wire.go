@@ -19,7 +19,6 @@ import (
 	"fmt"
 
 	"xeonomp/internal/counters"
-	"xeonomp/internal/sched"
 )
 
 // StudyRequest is the POST /api/v1/study body: one named study of the
@@ -188,36 +187,4 @@ type CellResponse struct {
 type ErrorResponse struct {
 	Error string `json:"error"`
 	Code  string `json:"code,omitempty"`
-}
-
-// ParsePolicy maps the wire policy names onto sched placement policies,
-// the same names cmd/xeonchar's -policy flag accepts.
-func ParsePolicy(s string) (sched.Policy, error) {
-	switch s {
-	case "", "alternate":
-		return sched.Alternate, nil
-	case "block":
-		return sched.Block, nil
-	case "round-robin":
-		return sched.RoundRobin, nil
-	case "symbiotic":
-		return sched.Symbiotic, nil
-	}
-	return 0, fmt.Errorf("unknown policy %q (have alternate, block, round-robin, symbiotic)", s)
-}
-
-// PolicyName is the inverse of ParsePolicy: the wire name of a sched
-// placement policy, as a remote backend must serialize it.
-func PolicyName(p sched.Policy) (string, error) {
-	switch p {
-	case sched.Alternate:
-		return "alternate", nil
-	case sched.Block:
-		return "block", nil
-	case sched.RoundRobin:
-		return "round-robin", nil
-	case sched.Symbiotic:
-		return "symbiotic", nil
-	}
-	return "", fmt.Errorf("policy %v has no wire name", p)
 }

@@ -2,8 +2,6 @@ package api
 
 import (
 	"testing"
-
-	"xeonomp/internal/sched"
 )
 
 // TestCanonicalStability pins the exact canonical bytes and hashes of
@@ -71,28 +69,6 @@ func TestHashNormalization(t *testing.T) {
 	}
 	if a == c {
 		t.Error("different seeds produced the same hash")
-	}
-}
-
-func TestPolicyRoundTrip(t *testing.T) {
-	for _, name := range []string{"alternate", "block", "round-robin", "symbiotic"} {
-		p, err := ParsePolicy(name)
-		if err != nil {
-			t.Fatalf("ParsePolicy(%s): %v", name, err)
-		}
-		back, err := PolicyName(p)
-		if err != nil {
-			t.Fatalf("PolicyName(%v): %v", p, err)
-		}
-		if back != name {
-			t.Errorf("policy %s round-trips to %s", name, back)
-		}
-	}
-	if p, err := ParsePolicy(""); err != nil || p != sched.Alternate {
-		t.Errorf("empty policy parsed to (%v, %v), want the alternate default", p, err)
-	}
-	if _, err := ParsePolicy("no-such-policy"); err == nil {
-		t.Error("unknown policy name accepted")
 	}
 }
 

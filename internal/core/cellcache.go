@@ -137,6 +137,23 @@ func encodeRunResult(r *RunResult) ([]byte, error) {
 	return json.Marshal(out)
 }
 
+// ProgramFromCounters rebuilds one program's result from its raw counter
+// map (the cache, journal and wire encoding), re-deriving the metrics so
+// a decoded result can never disagree with what counters.Derive produces.
+func ProgramFromCounters(benchmark string, threads int, cycles int64, raw map[string]uint64) (ProgramResult, error) {
+	set, err := counters.SetFromMap(raw)
+	if err != nil {
+		return ProgramResult{}, err
+	}
+	return ProgramResult{
+		Benchmark: benchmark,
+		Threads:   threads,
+		Cycles:    cycles,
+		Counters:  set,
+		Metrics:   counters.Derive(&set),
+	}, nil
+}
+
 // decodeRunResult rebuilds a RunResult from a cache or journal payload.
 // Any mismatch — schema drift, unknown events, malformed JSON — is an
 // error; callers treat it as a miss and recompute.
@@ -150,17 +167,11 @@ func decodeRunResult(payload []byte) (*RunResult, error) {
 	}
 	res := &RunResult{Config: in.Config, WallCycles: in.WallCycles}
 	for _, p := range in.Programs {
-		set, err := counters.SetFromMap(p.Counters)
+		pr, err := ProgramFromCounters(p.Benchmark, p.Threads, p.Cycles, p.Counters)
 		if err != nil {
 			return nil, err
 		}
-		res.Programs = append(res.Programs, ProgramResult{
-			Benchmark: p.Benchmark,
-			Threads:   p.Threads,
-			Cycles:    p.Cycles,
-			Counters:  set,
-			Metrics:   counters.Derive(&set),
-		})
+		res.Programs = append(res.Programs, pr)
 	}
 	for _, s := range in.Samples {
 		set, err := counters.SetFromMap(s.Counters)

@@ -5,6 +5,7 @@ import (
 
 	"xeonomp/internal/config"
 	"xeonomp/internal/counters"
+	"xeonomp/internal/machine"
 	"xeonomp/internal/profiles"
 	"xeonomp/internal/sched"
 )
@@ -24,33 +25,52 @@ func equivOptions(reference bool) Options {
 // results identical to the reference engine (machine.RunReference) — same
 // wall cycles, same per-program cycle counts, and byte-identical counter
 // banks — across workload shapes that exercise every advancement path:
-// serial, HT sharing, cross-core teams, oversubscription, and
-// multi-program co-scheduling.
+// serial, HT sharing, cross-core teams, oversubscription, four-way SMT,
+// and multi-program co-scheduling.
 func TestEngineEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("equivalence sweep is a long test")
 	}
-	benchmarks := []string{"CG", "EP", "LU"}
-	configs := []string{
+	type equivCase struct {
+		cfg config.Configuration
+		mc  *machine.Config // nil: the Paxville machine
+	}
+	var cases []equivCase
+	for _, cn := range []string{
 		"Serial",
 		"HT on -2-1",
 		"HT off -2-1",
 		"HT off -2-2",
 		"HT on -4-1",
 		"HT on -8-2",
+	} {
+		cfg, err := config.ByName(cn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, equivCase{cfg: cfg})
 	}
-	for _, bm := range benchmarks {
+	// Four contexts on one core of a custom machine: the only shape that
+	// reaches runSolo's generic window loop and Core.Step's N-way issue
+	// arbitration, since the Paxville presets stop at two per core.
+	smt4 := machine.PaxvilleSMP()
+	smt4.ContextsPerCore = 4
+	cfg4 := config.Configuration{Name: "4-way SMT", HT: true, Threads: 4, Chips: 1}
+	for th := 0; th < 4; th++ {
+		cfg4.Contexts = append(cfg4.Contexts, config.CtxID{Chip: 0, Core: 0, Thread: th})
+	}
+	cases = append(cases, equivCase{cfg: cfg4, mc: &smt4})
+
+	for _, bm := range []string{"CG", "EP", "LU"} {
 		prof, err := profiles.ByName(bm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cn := range configs {
-			cfg, err := config.ByName(cn)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Run(bm+"/"+cn, func(t *testing.T) {
+		for _, c := range cases {
+			cfg := c.cfg
+			t.Run(bm+"/"+cfg.Name, func(t *testing.T) {
 				opt, ref := equivOptions(false), equivOptions(true)
+				opt.Machine, ref.Machine = c.mc, c.mc
 				got, err := RunSingle(prof, cfg, opt)
 				if err != nil {
 					t.Fatal(err)

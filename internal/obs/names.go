@@ -23,7 +23,7 @@ const (
 	MetricJournalReplayServes = "journal.replay_serves"
 
 	// Cycle-engine throughput (internal/machine) — the raw-speed series
-	// PERFORMANCE.md and the BENCH_*.json snapshots are built on.
+	// PERFORMANCE.md is built on.
 	// MetricMachineRuns counts Machine.Run invocations (a study cell runs
 	// the machine once per trial plus serial baselines).
 	// MetricMachineCycles accumulates simulated cycles advanced across
@@ -31,8 +31,8 @@ const (
 	// work, not host work. MetricMachineCyclesPerWs is a gauge of the
 	// last run's simulated-cycles-per-wall-second rate, the single best
 	// "is the simulator fast right now" number in a -metrics-out
-	// snapshot; cmd/benchsnap derives its throughput fields from the
-	// counter deltas instead so they aggregate across cells.
+	// snapshot; rates that aggregate across cells come from the counter
+	// deltas instead.
 	MetricMachineRuns        = "machine.runs"
 	MetricMachineCycles      = "machine.cycles_total"
 	MetricMachineCyclesPerWs = "machine.cycles_per_wall_second"

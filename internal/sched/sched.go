@@ -54,6 +54,21 @@ func (p Policy) String() string {
 	}
 }
 
+// ParsePolicy is the inverse of String: it maps a policy name (the
+// -policy flag and wire spelling) onto its Policy. The empty name is the
+// Alternate default.
+func ParsePolicy(s string) (Policy, error) {
+	if s == "" {
+		return Alternate, nil
+	}
+	for _, p := range []Policy{Alternate, Block, RoundRobin, Symbiotic} {
+		if p.String() == s {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q (have alternate, block, round-robin, symbiotic)", s)
+}
+
 // ProgramDemand summarizes a program's appetite for the shared resources
 // that matter on this platform: sustained memory bandwidth (bytes/second at
 // one thread) and the per-thread L2 cache footprint. The symbiotic policy

@@ -153,6 +153,26 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
+func TestPolicyRoundTrip(t *testing.T) {
+	for _, name := range []string{"alternate", "block", "round-robin", "symbiotic"} {
+		p, err := ParsePolicy(name)
+		if err != nil {
+			t.Fatalf("ParsePolicy(%s): %v", name, err)
+		}
+		if back := p.String(); back != name {
+			t.Errorf("policy %s round-trips to %s", name, back)
+		}
+	}
+	if p, err := ParsePolicy(""); err != nil || p != Alternate {
+		t.Errorf("empty policy parsed to (%v, %v), want the alternate default", p, err)
+	}
+	for _, name := range []string{"no-such-policy", Policy(42).String()} {
+		if _, err := ParsePolicy(name); err == nil {
+			t.Errorf("policy name %q accepted", name)
+		}
+	}
+}
+
 func TestPlaceSymbioticPairsHeavyWithLight(t *testing.T) {
 	ctxs := contexts(t, 8)
 	// Four programs, two threads each; program demands: 0 heavy, 1 light,

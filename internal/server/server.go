@@ -32,6 +32,7 @@ import (
 	"xeonomp/internal/obs"
 	"xeonomp/internal/profiles"
 	"xeonomp/internal/runcache"
+	"xeonomp/internal/sched"
 )
 
 // Process-wide observability series (see internal/obs): HTTP traffic and
@@ -238,7 +239,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 // buildOptions turns wire knobs into validated core Options carrying the
 // server's shared cache and the given backend.
 func (s *Server) buildOptions(scale float64, seed uint64, policy string, backend core.Backend, jn *journal.Journal) (core.Options, error) {
-	pol, err := api.ParsePolicy(policy)
+	pol, err := sched.ParsePolicy(policy)
 	if err != nil {
 		return core.Options{}, err
 	}
@@ -347,7 +348,7 @@ func (s *Server) handleStudySubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "scale %g outside (0, %g]", req.Scale, s.cfg.MaxScale)
 		return
 	}
-	if _, err := api.ParsePolicy(req.Policy); err != nil {
+	if _, err := sched.ParsePolicy(req.Policy); err != nil {
 		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
 	}

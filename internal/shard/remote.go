@@ -17,8 +17,8 @@ import (
 	"xeonomp/internal/api"
 	"xeonomp/internal/config"
 	"xeonomp/internal/core"
-	"xeonomp/internal/counters"
 	"xeonomp/internal/obs"
+	"xeonomp/internal/sched"
 )
 
 // Process-wide observability series for sharded execution; totals live
@@ -76,9 +76,9 @@ func cellRequest(w core.Workload, cfg config.Configuration, opt core.Options) (a
 	case opt.WarmupFrac != def.WarmupFrac:
 		return zero, fmt.Errorf("shard: warmup fraction %g is not expressible over the cell API (workers use %g)", opt.WarmupFrac, def.WarmupFrac)
 	}
-	policy, err := api.PolicyName(opt.Policy)
-	if err != nil {
-		return zero, fmt.Errorf("shard: %w", err)
+	policy := opt.Policy.String()
+	if _, err := sched.ParsePolicy(policy); err != nil {
+		return zero, fmt.Errorf("shard: policy %v has no wire name", opt.Policy)
 	}
 	req := api.CellRequest{Config: cfg.Name, Scale: opt.Scale, Seed: opt.Seed, Policy: policy}
 	for _, p := range w.Programs {
@@ -148,17 +148,11 @@ func rebuild(resp api.CellResponse, cfg config.Configuration, w core.Workload) (
 		if len(p.Counters) == 0 {
 			return nil, fmt.Errorf("cell response for %s carries no raw counters; the worker predates the counters field", p.Benchmark)
 		}
-		set, err := counters.SetFromMap(p.Counters)
+		pr, err := core.ProgramFromCounters(p.Benchmark, p.Threads, p.Cycles, p.Counters)
 		if err != nil {
 			return nil, err
 		}
-		res.Programs = append(res.Programs, core.ProgramResult{
-			Benchmark: p.Benchmark,
-			Threads:   p.Threads,
-			Cycles:    p.Cycles,
-			Counters:  set,
-			Metrics:   counters.Derive(&set),
-		})
+		res.Programs = append(res.Programs, pr)
 	}
 	return res, nil
 }

@@ -18,6 +18,7 @@ import (
 	"xeonomp/internal/core"
 	"xeonomp/internal/obs"
 	"xeonomp/internal/profiles"
+	"xeonomp/internal/sched"
 	"xeonomp/internal/server"
 	"xeonomp/internal/shard"
 )
@@ -115,6 +116,13 @@ func TestRemoteRejectsInexpressibleOptions(t *testing.T) {
 	opt.CycleLimit = 1 << 40
 	if _, _, err := remote.RunCell(context.Background(), w, cfg, opt); err == nil {
 		t.Error("cycle limit crossed the wire silently")
+	}
+	opt = core.DefaultOptions()
+	opt.Scale = 0.02
+	opt.Policy = sched.Policy(42)
+	if _, _, err := remote.RunCell(context.Background(), w, cfg, opt); err == nil ||
+		!strings.Contains(err.Error(), "no wire name") {
+		t.Errorf("unnamed policy crossed the wire: %v", err)
 	}
 }
 

@@ -5,10 +5,11 @@
 #   1. the profile decodes and yields a non-empty hot set
 #   2. no module-prefixed profile name fails to resolve onto a declared
 #      function (renamed/deleted hot functions make the profile stale)
-#   3. the hot set still lands on the packages the benchsnap grid
-#      measures (internal/cpu, internal/machine, internal/trace,
-#      internal/cache) — a profile that no longer agrees with where the
-#      benchmarks spend time is lying to the hot-tier analyzers
+#   3. the hot set still lands on the packages BenchmarkCell, the grid
+#      make bench-gate measures, exercises (internal/cpu,
+#      internal/machine, internal/trace, internal/cache) — a profile that
+#      no longer agrees with where the benchmarks spend time is lying to
+#      the hot-tier analyzers
 #
 # Regenerate the profile with `make profile` and copy the cpu.pprof over
 # cmd/xeonchar/default.pgo when this fails after a legitimate hot-path
@@ -45,7 +46,7 @@ for pkg in internal/cpu internal/machine internal/trace internal/cache; do
     fi
 done
 if [ "$missing" -ne 0 ]; then
-    echo "pgo-freshness: profile no longer covers the benchsnap grid; regenerate with 'make profile'" >&2
+    echo "pgo-freshness: profile no longer covers the BenchmarkCell grid; regenerate with 'make profile'" >&2
     exit 1
 fi
 

@@ -33,9 +33,9 @@ bench:
 	$(GO) test -run '^$$' -bench=. -benchmem -benchtime=1x
 
 # Static analysis: go vet plus the repo's own analyzers (cmd/xeonlint —
-# nondeterminism taint, dimension inference, unit safety, dropped errors,
-# context flow, goroutine leaks, lock ordering, counter/golden parity,
-# and the profile-guided hot tier: hotalloc, hotcall, benchparity).
+# nondeterminism taint, dimension inference with unit safety, dropped
+# errors, context flow, goroutine leaks, lock ordering, counter/golden
+# parity, and the profile-guided hot tier: hotloop, benchparity).
 # Depends on build so vet and xeonlint share one warm build cache; -v
 # prints per-analyzer wall time so lint-job runtime regressions show up
 # in CI logs.

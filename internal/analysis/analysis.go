@@ -11,8 +11,8 @@
 // lock-acquisition, WaitGroup-join facts — see conc.go). Since PR 9 a
 // profile-guided tier joins them: a stdlib-only pprof reader (pgo.go)
 // extracts a deterministic hot set from the checked-in CPU profile, maps
-// it onto the call graph, and three performance analyzers lint only the
-// code the profile says matters. Eleven analyzers guard the promises the
+// it onto the call graph, and two performance analyzers lint only the
+// code the profile says matters. Nine analyzers guard the promises the
 // reproduction makes:
 //
 //   - taint: no wall clock, no unseeded math/rand, no map-iteration
@@ -23,9 +23,9 @@
 //   - dimension: physical dimensions (cycles, ns, seconds, bytes, events)
 //     inferred from internal/units constants, counters metrics, and
 //     naming conventions, propagated through arithmetic; mixed-dimension
-//     addition and meaningless products are findings
-//   - unitsafety: no magic ns/Hz/byte conversion literals bypassing
-//     internal/units (with a -fix rewrite to the named constant)
+//     addition and meaningless products are findings, and so are magic
+//     ns/Hz/byte conversion literals bypassing internal/units (with a
+//     -fix rewrite to the named constant)
 //   - errdrop: no silently dropped error returns (the forEachJob bug
 //     class; bare statement drops carry a -fix `_ =` rewrite)
 //   - ctxflow: cancellation reaches the blocking frontier — no fresh
@@ -43,14 +43,12 @@
 //   - counterparity: every counters.Metrics column and counters.Event name
 //     has a renderer/exporter twin, so golden JSON schemas cannot silently
 //     lose a column
-//   - hotalloc: no per-iteration heap allocations in profile-hot loops —
-//     string concat, fmt.Sprint*, capturing closures, interface boxing,
-//     defer-in-loop, capacity-less append (with -fix rewrites for the
-//     cases where the rewrite provably preserves behavior)
-//   - hotcall: no avoidable per-iteration call overhead in hot loops —
-//     devirtualizable single-implementation interface calls, hoistable
-//     loop-invariant map lookups, channel ops; hot→cold calls into
-//     functions too large to inline are advisory notes
+//   - hotloop: no per-iteration heap allocations or avoidable call
+//     overhead in profile-hot loops — string concat, fmt.Sprint*,
+//     capturing closures, interface boxing, defer-in-loop, capacity-less
+//     append (with -fix rewrites for the cases where the rewrite provably
+//     preserves behavior), devirtualizable single-implementation
+//     interface calls, hoistable loop-invariant map lookups, channel ops
 //   - benchparity: every profile-hot function is reachable from a
 //     Benchmark* in the module, so the benchmarks have no blind spot
 //     where the profile says the time goes
@@ -89,9 +87,6 @@ type Diagnostic struct {
 	// Fix, when non-nil, is a textual edit that resolves the finding;
 	// cmd/xeonlint applies it under -fix and previews it under -diff.
 	Fix *SuggestedFix
-	// Note marks advisory diagnostics (hotcall's hot→cold inlining
-	// notes): printed, but excluded from the failing exit status.
-	Note bool
 }
 
 func (d Diagnostic) String() string {
@@ -124,13 +119,10 @@ type Program struct {
 	ModulePath string
 
 	// PGO, when set before Run, attaches a decoded pprof profile (see
-	// pgo.go); the hotalloc/hotcall/benchparity analyzers derive their
-	// hot set from it. With no profile, only //xeonlint:hot directives
-	// seed the hot set.
+	// pgo.go); the hotloop and benchparity analyzers derive their hot
+	// set from it. With no profile, only //xeonlint:hot directives seed
+	// the hot set.
 	PGO *PGOProfile
-	// HotThreshold is the flat-share cutoff for profile-hot functions;
-	// zero means DefaultHotThreshold.
-	HotThreshold float64
 	// Workers bounds the per-package fan-out inside Run/RunTimed; zero
 	// means GOMAXPROCS. One worker reproduces the old serial driver.
 	Workers int
@@ -167,14 +159,12 @@ func Analyzers() []Analyzer {
 	return []Analyzer{
 		&NDTaint{},
 		&Dimension{},
-		&UnitSafety{},
 		&ErrDrop{},
 		&CtxFlow{},
 		&GoLeak{},
 		&LockOrder{},
 		&CounterParity{},
-		&HotAlloc{},
-		&HotCall{},
+		&HotLoop{},
 		&BenchParity{},
 	}
 }

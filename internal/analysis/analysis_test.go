@@ -114,8 +114,10 @@ func TestDimension(t *testing.T) {
 	checkFixture(t, "dimension", []analysis.Analyzer{&analysis.Dimension{}})
 }
 
+// TestUnitSafety runs dimension over the unitsafety fixture: the magic
+// conversion-literal rule lives in dimension.
 func TestUnitSafety(t *testing.T) {
-	checkFixture(t, "unitsafety", []analysis.Analyzer{&analysis.UnitSafety{}})
+	checkFixture(t, "unitsafety", []analysis.Analyzer{&analysis.Dimension{}})
 }
 
 func TestErrDrop(t *testing.T) {
@@ -138,19 +140,21 @@ func TestCounterParity(t *testing.T) {
 	checkFixture(t, "counterparity", []analysis.Analyzer{&analysis.CounterParity{}})
 }
 
+// TestHotAlloc and TestHotCall run hotloop over the allocation and the
+// call-overhead fixtures.
 func TestHotAlloc(t *testing.T) {
-	checkFixture(t, "hotalloc", []analysis.Analyzer{&analysis.HotAlloc{}})
+	checkFixture(t, "hotalloc", []analysis.Analyzer{&analysis.HotLoop{}})
 }
 
 func TestHotCall(t *testing.T) {
-	checkFixture(t, "hotcall", []analysis.Analyzer{&analysis.HotCall{}})
+	checkFixture(t, "hotcall", []analysis.Analyzer{&analysis.HotLoop{}})
 }
 
 func TestBenchParity(t *testing.T) {
 	checkFixture(t, "benchparity", []analysis.Analyzer{&analysis.BenchParity{}})
 }
 
-// TestHotAllocFixSafety pins which hotalloc findings carry a machine
+// TestHotAllocFixSafety pins which hotloop findings carry a machine
 // fix: only trailing defers (deleting the keyword runs the call where
 // it was queued) and zero-length makes (adding a capacity cannot change
 // the length or produce cap < len). The fixture marks fix-carrying
@@ -158,7 +162,7 @@ func TestBenchParity(t *testing.T) {
 // be report-only.
 func TestHotAllocFixSafety(t *testing.T) {
 	prog, root := loadFixture(t, "hotalloc")
-	diags := prog.Run([]analysis.Analyzer{&analysis.HotAlloc{}})
+	diags := prog.Run([]analysis.Analyzer{&analysis.HotLoop{}})
 	if len(diags) == 0 {
 		t.Fatal("hotalloc fixture produced no diagnostics")
 	}
@@ -190,7 +194,7 @@ func TestParallelRunDeterministic(t *testing.T) {
 	run := func(workers int) []analysis.Diagnostic {
 		prog, _ := loadFixture(t, "hotalloc")
 		prog.Workers = workers
-		return prog.Run([]analysis.Analyzer{&analysis.HotAlloc{}, &analysis.HotCall{}, &analysis.BenchParity{}})
+		return prog.Run([]analysis.Analyzer{&analysis.HotLoop{}, &analysis.BenchParity{}})
 	}
 	want := run(1)
 	if len(want) == 0 {
@@ -203,7 +207,7 @@ func TestParallelRunDeterministic(t *testing.T) {
 		}
 		for i := range want {
 			if got[i].Pos != want[i].Pos || got[i].Analyzer != want[i].Analyzer ||
-				got[i].Message != want[i].Message || got[i].Note != want[i].Note {
+				got[i].Message != want[i].Message {
 				t.Errorf("workers=%d: diagnostic %d differs:\n got %v\nwant %v", workers, i, got[i], want[i])
 			}
 		}
@@ -213,7 +217,8 @@ func TestParallelRunDeterministic(t *testing.T) {
 // TestIgnoreDirectives pins the whole suppression lifecycle on one
 // fixture: a valid ignore above the line and one on the line both
 // suppress, a stale ignore is reported as unused, and the two malformed
-// directives are reported rather than half-obeyed.
+// directives and the two naming retired analyzers are reported rather
+// than half-obeyed.
 func TestIgnoreDirectives(t *testing.T) {
 	prog, _ := loadFixture(t, "ignores")
 	diags := prog.Run([]analysis.Analyzer{&analysis.ErrDrop{}})
@@ -226,6 +231,8 @@ func TestIgnoreDirectives(t *testing.T) {
 	for _, substr := range []string{
 		"malformed ignore",
 		`unknown analyzer "nosuch"`,
+		`unknown analyzer "hotcall"`,
+		`unknown analyzer "unitsafety"`,
 		"unused ignore directive",
 	} {
 		found := false
@@ -239,20 +246,20 @@ func TestIgnoreDirectives(t *testing.T) {
 			t.Errorf("no diagnostic containing %q in %v", substr, diags)
 		}
 	}
-	if len(diags) != 3 {
-		t.Errorf("got %d diagnostics, want exactly 3: %v", len(diags), diags)
+	if len(diags) != 5 {
+		t.Errorf("got %d diagnostics, want exactly 5: %v", len(diags), diags)
 	}
 }
 
-// TestAnalyzersRegistered pins the registry: eleven analyzers, stable
+// TestAnalyzersRegistered pins the registry: nine analyzers, stable
 // unique names, non-empty docs — the contract -list and the ignore
 // grammar rely on.
 func TestAnalyzersRegistered(t *testing.T) {
 	as := analysis.Analyzers()
-	if len(as) != 11 {
-		t.Fatalf("got %d analyzers, want 11", len(as))
+	want := []string{"taint", "dimension", "errdrop", "ctxflow", "goleak", "lockorder", "counterparity", "hotloop", "benchparity"}
+	if len(as) != len(want) {
+		t.Fatalf("got %d analyzers, want %d", len(as), len(want))
 	}
-	want := []string{"taint", "dimension", "unitsafety", "errdrop", "ctxflow", "goleak", "lockorder", "counterparity", "hotalloc", "hotcall", "benchparity"}
 	for i, a := range as {
 		if a.Name() != want[i] {
 			t.Errorf("analyzer %d is %q, want %q", i, a.Name(), want[i])
@@ -360,12 +367,11 @@ func TestSortDiagnostics(t *testing.T) {
 		mk("a.go", 1, 1, "ctxflow", "first"),
 		mk("a.go", 1, 1, "errdrop", "same spot, later analyzer"),
 		mk("a.go", 1, 1, "errdrop", "same spot, same analyzer, later message"),
-		mk("a.go", 1, 1, "hotalloc", "note-carrying diagnostics obey the same keys"),
+		mk("a.go", 1, 1, "hotloop", "same spot, lexically last analyzer"),
 		mk("a.go", 1, 2, "ctxflow", "later column"),
 		mk("a.go", 2, 1, "ctxflow", "later line"),
 		mk("b.go", 1, 1, "ctxflow", "later file"),
 	}
-	want[4].Note = true
 	// Reversed input: every comparison key must do its job to restore it.
 	got := make([]analysis.Diagnostic, len(want))
 	for i := range want {

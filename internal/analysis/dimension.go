@@ -5,6 +5,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"regexp"
+	"strconv"
 	"strings"
 )
 
@@ -41,13 +43,17 @@ import (
 //     whose declared dimension differs (latencyNs = cycles)
 //
 // Untyped numeric literals are scalars: they adapt to either operand, so
-// `lat + 1` and `2.8 * units.GHz` stay legal. internal/units itself is
-// exempt — it is where raw conversion factors legitimately live.
+// `lat + 1` and `2.8 * units.GHz` stay legal. What a literal must not be
+// is an unnamed conversion factor: a power-of-ten multiplier or divisor
+// (1e9, 2.8e9, 1_000_000) is reported anywhere in a file, with a -fix
+// rewrite to the internal/units constant (see magicLiterals).
+// internal/units itself and _test.go files are exempt — the former is
+// where raw conversion factors legitimately live.
 type Dimension struct{}
 
 func (*Dimension) Name() string { return "dimension" }
 func (*Dimension) Doc() string {
-	return "infer cycles/ns/bytes/events dimensions and flag incoherent arithmetic feeding derived metrics"
+	return "infer cycles/ns/bytes/events dimensions and flag incoherent arithmetic and magic ns/Hz/byte conversion literals feeding derived metrics"
 }
 
 // Dim is a dimension vector: integer exponents over the five base
@@ -811,13 +817,22 @@ func (a *Dimension) Check(prog *Program, pkg *Package) []Diagnostic {
 	if pathHasSuffix(pkg.Path, unitsPackage) {
 		return nil
 	}
+	inTest := func(n ast.Node) bool {
+		return strings.HasSuffix(prog.Fset.Position(n.Pos()).Filename, "_test.go")
+	}
+	var diags []Diagnostic
+	units := unitsPkgOf(prog)
+	for _, f := range pkg.Files {
+		if !inTest(f) {
+			diags = append(diags, a.magicLiterals(prog, units, f)...)
+		}
+	}
+
 	facts := prog.Facts()
 	df := facts.dimsFor()
-
-	var diags []Diagnostic
 	seen := map[string]bool{}
 	for _, fi := range facts.PkgFuncs(pkg) {
-		if strings.HasSuffix(prog.Fset.Position(fi.Decl.Pos()).Filename, "_test.go") {
+		if inTest(fi.Decl) {
 			continue
 		}
 		an := newDimAnalysis(fi, df)
@@ -833,4 +848,184 @@ func (a *Dimension) Check(prog *Program, pkg *Package) []Diagnostic {
 		an.walk()
 	}
 	return diags
+}
+
+// magicLiterals flags the magic unit-conversion literals — 1e9, 1e6,
+// 2.8e9, 1_000_000_000 and friends — multiplied or divided anywhere in f,
+// package-level declarations included. Every derived rate the golden
+// artifacts pin (GB/s bandwidths, MOPS, ns↔cycle conversions) must flow
+// through internal/units, where the conversion constants are named,
+// audited, and shared; a literal 1e9 is ambiguous between GHz, GB, and
+// ns/s, which is exactly how silent unit bugs ship.
+func (a *Dimension) magicLiterals(prog *Program, units *Package, f *ast.File) []Diagnostic {
+	var diags []Diagnostic
+	ast.Inspect(f, func(n ast.Node) bool {
+		bin, ok := n.(*ast.BinaryExpr)
+		if !ok || (bin.Op != token.MUL && bin.Op != token.QUO) {
+			return true
+		}
+		for i, operand := range []ast.Expr{bin.X, bin.Y} {
+			lit, ok := ast.Unparen(operand).(*ast.BasicLit)
+			if !ok || !isMagic(lit) {
+				continue
+			}
+			sibling := bin.Y
+			if i == 1 {
+				sibling = bin.X
+			}
+			diags = append(diags, Diagnostic{
+				Pos:      prog.Fset.Position(lit.Pos()),
+				Analyzer: a.Name(),
+				Message:  fmt.Sprintf("magic conversion literal %s in arithmetic; name it through internal/units (units.GB, units.GHz, units.Mega, ...)", lit.Value),
+				Fix:      magicFix(f, units, lit, sibling)})
+		}
+		return true
+	})
+	return diags
+}
+
+// unitsPackage is the one package allowed to spell conversion factors as
+// literals: it is where they get their names.
+const unitsPackage = "internal/units"
+
+// magicFloat matches power-of-ten scientific literals used as unit
+// conversion factors: a mantissa times e3/e6/e9/e12 (1e9, 2.8e9, 0.1e9).
+var magicFloat = regexp.MustCompile(`^\d+(\.\d+)?[eE]\+?(3|6|9|12)$`)
+
+// magicInts are the spelled-out decimal forms of the same factors, keyed
+// to their decimal exponent.
+var magicInts = map[string]int{
+	"1000":          3,
+	"1000000":       6,
+	"1000000000":    9,
+	"1000000000000": 12,
+}
+
+// unitsPkgOf finds the loaded module's internal/units package, the target
+// of the literal rewrites; nil when the module has none.
+func unitsPkgOf(prog *Program) *Package {
+	for _, pkg := range prog.Packages {
+		if pathHasSuffix(pkg.Path, unitsPackage) {
+			return pkg
+		}
+	}
+	return nil
+}
+
+// magicFix builds the literal→units.Constant edit. The constant is
+// picked by the factor's magnitude, disambiguated by the text around the
+// literal (a 1e9 next to "freq" is GHz, next to "bytes" is GB, otherwise
+// ns-per-second); a non-unit mantissa becomes a parenthesized product
+// (2.8e9 → (2.8 * units.GHz)). Factors with no safe spelling (1e12) and
+// modules without a units package get no fix — the finding still reports.
+func magicFix(f *ast.File, units *Package, lit *ast.BasicLit, sibling ast.Expr) *SuggestedFix {
+	if units == nil {
+		return nil
+	}
+	mantissa, exp := splitMagic(lit)
+	if exp == 0 {
+		return nil
+	}
+	context := strings.ToLower(exprString(sibling))
+	freqish := strings.Contains(context, "freq") || strings.Contains(context, "hz") || strings.Contains(context, "clock")
+	byteish := strings.Contains(context, "byte") || strings.Contains(context, "bw") || strings.Contains(context, "band")
+
+	var constant string
+	switch exp {
+	case 3:
+		if !freqish {
+			return nil // a bare 1000 could be ms↔s, KB, or KHz; no safe guess
+		}
+		constant = "KHz"
+	case 6:
+		if freqish {
+			constant = "MHz"
+		} else {
+			constant = "Mega"
+		}
+	case 9:
+		switch {
+		case freqish:
+			constant = "GHz"
+		case byteish:
+			constant = "GB"
+		default:
+			constant = "NsPerSecond"
+		}
+	default:
+		return nil
+	}
+	replacement := units.Name + "." + constant
+	if mantissa != "" && mantissa != "1" {
+		replacement = "(" + mantissa + " * " + replacement + ")"
+	}
+	fix := &SuggestedFix{
+		Message: fmt.Sprintf("replace %s with %s", lit.Value, replacement),
+		Edits:   []TextEdit{{Pos: lit.Pos(), End: lit.End(), NewText: replacement}},
+	}
+	if imp := importEdit(f, units); imp != nil {
+		fix.Edits = append(fix.Edits, *imp)
+	}
+	return fix
+}
+
+// splitMagic decomposes a magic literal into its mantissa text and
+// decimal exponent ("2.8e9" → "2.8", 9; "1000000" → "1", 6). A zero
+// exponent means the literal is not a recognized factor.
+func splitMagic(lit *ast.BasicLit) (string, int) {
+	text := strings.ReplaceAll(lit.Value, "_", "")
+	if i := strings.IndexAny(text, "eE"); i >= 0 {
+		exp, err := strconv.Atoi(strings.TrimPrefix(text[i+1:], "+"))
+		if err != nil || exp < 3 || exp > 12 || exp%3 != 0 {
+			return "", 0
+		}
+		return text[:i], exp
+	}
+	if exp, ok := magicInts[text]; ok {
+		return "1", exp
+	}
+	return "", 0
+}
+
+// importEdit returns the edit inserting the units import into f, or nil
+// when f already imports it.
+func importEdit(f *ast.File, units *Package) *TextEdit {
+	quoted := `"` + units.Path + `"`
+	var lastImport *ast.GenDecl
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.IMPORT {
+			continue
+		}
+		lastImport = gd
+		for _, spec := range gd.Specs {
+			if is, ok := spec.(*ast.ImportSpec); ok && is.Path.Value == quoted {
+				return nil
+			}
+		}
+	}
+	if lastImport == nil {
+		// No imports at all: start a block after the package clause.
+		pos := f.Name.End()
+		return &TextEdit{Pos: pos, End: pos, NewText: "\n\nimport " + quoted}
+	}
+	if lastImport.Rparen != token.NoPos {
+		return &TextEdit{Pos: lastImport.Rparen, End: lastImport.Rparen, NewText: "\t" + quoted + "\n"}
+	}
+	// A single unparenthesized import: append another one below it.
+	return &TextEdit{Pos: lastImport.End(), End: lastImport.End(), NewText: "\nimport " + quoted}
+}
+
+// isMagic reports whether a literal spells a power-of-ten conversion
+// factor.
+func isMagic(lit *ast.BasicLit) bool {
+	text := strings.ReplaceAll(lit.Value, "_", "")
+	switch lit.Kind {
+	case token.FLOAT:
+		return magicFloat.MatchString(text)
+	case token.INT:
+		_, ok := magicInts[text]
+		return ok
+	}
+	return false
 }

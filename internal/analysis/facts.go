@@ -61,7 +61,7 @@ type Facts struct {
 	FieldUses map[*types.Var]map[*Package]bool
 
 	// NamedTypes lists every package-level named type of the module, in
-	// package/source order — the set hotcall searches for concrete
+	// package/source order — the set hotloop searches for concrete
 	// implementations when it argues an interface call can devirtualize.
 	NamedTypes []*types.Named
 

@@ -15,7 +15,7 @@ import (
 // This file is the profile-guided fact layer: a standard-library-only
 // reader for pprof CPU profiles (the gzipped protobuf format `go test
 // -cpuprofile` and `xeonchar -cpuprofile` emit, and the compiler reads
-// for PGO), plus the hot-set extraction the hotalloc/hotcall/benchparity
+// for PGO), plus the hot-set extraction the hotloop and benchparity
 // analyzers key on. The repo already ships the knowledge of where the
 // simulator spends its time as cmd/xeonchar/default.pgo; decoding it here
 // turns that checked-in profile into a lint oracle — the performance
@@ -491,9 +491,8 @@ func parseFunction(body []byte) (id, name uint64, err error) {
 // ---------------------------------------------------------------------
 // Hot-set extraction over the module call graph.
 
-// DefaultHotThreshold is the flat-share cutoff applied when the Program
-// does not set one: a function holding at least 1% of the profile's
-// samples is hot.
+// DefaultHotThreshold is the flat-share cutoff for profile hotness: a
+// function holding at least 1% of the profile's samples is hot.
 const DefaultHotThreshold = 0.01
 
 // hotDirective is the comment that forces a function into the hot set
@@ -518,7 +517,6 @@ type HotFunc struct {
 // hotFacts is the solved hot set: the analyzers' shared view of where the
 // profiler says the module spends its time.
 type hotFacts struct {
-	threshold float64
 	// stats carries profile shares for every module function the profile
 	// resolved onto, hot or not.
 	stats map[*types.Func]*hotStat
@@ -548,13 +546,9 @@ func (f *Facts) hotFor() *hotFacts {
 	}
 	p := f.prog
 	hf := &hotFacts{
-		threshold: p.HotThreshold,
-		stats:     map[*types.Func]*hotStat{},
-		hot:       map[*types.Func]string{},
-		loopHot:   map[*types.Func]bool{},
-	}
-	if hf.threshold == 0 {
-		hf.threshold = DefaultHotThreshold
+		stats:   map[*types.Func]*hotStat{},
+		hot:     map[*types.Func]string{},
+		loopHot: map[*types.Func]bool{},
 	}
 
 	// Resolve profile weights onto declared functions.
@@ -586,7 +580,7 @@ func (f *Facts) hotFor() *hotFacts {
 		}
 		for _, fi := range f.Funcs {
 			st := hf.stats[fi.Fn]
-			if st != nil && st.flat >= hf.threshold {
+			if st != nil && st.flat >= DefaultHotThreshold {
 				hf.hot[fi.Fn] = fmt.Sprintf("%.1f%% flat in profile", st.flat*100)
 			}
 		}

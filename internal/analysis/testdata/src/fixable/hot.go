@@ -1,4 +1,4 @@
-// Fixable hotalloc findings: a defer queued per hot-loop iteration as
+// Fixable hotloop findings: a defer queued per hot-loop iteration as
 // the loop body's last statement (the fix deletes the keyword, running
 // the call where it was queued) and an append into a zero-length make
 // with a derivable bound (the fix adds the capacity).

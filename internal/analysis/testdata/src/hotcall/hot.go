@@ -1,10 +1,9 @@
-// Package hotcall seeds per-iteration call-overhead findings in
+// Package hotcall seeds hotloop's per-iteration call-overhead findings in
 // directive-hot functions: a devirtualizable interface call, a hoistable
-// loop-invariant map lookup, channel operations, and a hot→cold advisory
-// note against a too-large inner-package callee.
+// loop-invariant map lookup, and channel operations.
 package hotcall
 
-import "hotcall/inner"
+import "fmt"
 
 type hasher interface {
 	hash(uint64) uint64
@@ -68,16 +67,19 @@ func Drain(in <-chan int, n int) int {
 	return total
 }
 
-// Walk calls inner.Classify — too large to inline, absent from any hot
-// evidence of its own — from its hot loop: the interprocedural advisory.
+// Relay selects per iteration: one finding for the select, none for the
+// clauses' own channel operations, while the allocation feeding the send
+// is still reported.
 //
 //xeonlint:hot
-func Walk(vals []int) int {
-	total := 0
-	for _, v := range vals {
-		total += inner.Classify(v) // want `too large to inline`
+func Relay(in <-chan int, out chan<- string, n int) {
+	for i := 0; i < n; i++ {
+		select { // want `select in a hot loop`
+		case v := <-in:
+			_ = v
+		case out <- fmt.Sprintf("r%d", i): // want `fmt.Sprintf in a hot loop`
+		}
 	}
-	return total
 }
 
 // coldMix repeats Mix without hotness: no findings.

@@ -1,10 +1,14 @@
 // Package ig exercises the //xeonlint:ignore directive grammar: a
 // suppression above the line, a suppression on the line, a stale directive
-// that suppresses nothing, and two malformed directives.
+// that suppresses nothing, two malformed directives, and two suppressions
+// naming retired analyzers (hotcall merged into hotloop, unitsafety into
+// dimension), which must fail as unknown rather than rot silently.
 package ig
 
 //xeonlint:ignore
 //xeonlint:ignore nosuch because reasons
+//xeonlint:ignore hotcall retired analyzer name
+//xeonlint:ignore unitsafety retired analyzer name
 
 func checked() error { return nil }
 

@@ -3,6 +3,9 @@ package unitfix
 
 import "unitfix/internal/units"
 
+// Package-level declarations are scanned too, not only function bodies.
+var refClockHz = 3.2 * 1e9 // want `magic conversion literal 1e9`
+
 func toGB(bytes float64) float64 {
 	return bytes / 1e9 // want `magic conversion literal 1e9`
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"xeonomp/internal/config"
+	"xeonomp/internal/runcache"
 	"xeonomp/internal/stats"
 )
 
@@ -193,6 +194,15 @@ func TestPaperShapes(t *testing.T) {
 	}
 }
 
+// multiProgramCache is the one in-memory run cache the pair and cross
+// studies share. Both run DefaultOptions at scale 0.3, so the cross
+// product serves the cells it has in common with the pair study (the
+// CG/FT, FT/FT and CG/CG pairs and their serial baselines) from the
+// cache instead of simulating them twice. Cached and cold cells are
+// byte-identical, so neither test's assertions see a difference. A
+// memory-only cache has no directory to create and cannot fail.
+var multiProgramCache, _ = runcache.New(0, "")
+
 // TestPairStudyShapes checks the paper's multi-program findings: the
 // complementary CG/FT mix outperforms the identical pairs.
 func TestPairStudyShapes(t *testing.T) {
@@ -201,6 +211,7 @@ func TestPairStudyShapes(t *testing.T) {
 	}
 	opt := DefaultOptions()
 	opt.Scale = 0.3
+	opt.Cache = multiProgramCache
 	study, err := runPairStudy(opt)
 	if err != nil {
 		t.Fatal(err)
@@ -263,6 +274,7 @@ func TestCrossStudyShapes(t *testing.T) {
 	}
 	opt := DefaultOptions()
 	opt.Scale = 0.3
+	opt.Cache = multiProgramCache
 	study, err := runCrossStudy(opt)
 	if err != nil {
 		t.Fatal(err)

@@ -259,13 +259,18 @@ func (s *Server) buildOptions(scale float64, seed uint64, policy string, backend
 	return core.NewOptions(opts...)
 }
 
+// maxRequestBytes bounds a cell or study request body (1 MiB). Real
+// requests are a few hundred bytes; a larger body fails decoding and
+// answers 400 bad_request instead of being buffered whole.
+const maxRequestBytes = 1 << 20
+
 // handleCell runs one simulation cell synchronously. The request context
 // carries the client connection: a disconnect cancels the cell cleanly
 // (waiters leave the dedupe/gate queues immediately; a running leader
 // finishes its current cell at the next engine checkpoint).
 func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 	var req api.CellRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "decoding cell request: %v", err)
 		return
 	}
@@ -329,7 +334,7 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 // answering 202 with the job's initial status.
 func (s *Server) handleStudySubmit(w http.ResponseWriter, r *http.Request) {
 	var req api.StudyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "decoding study request: %v", err)
 		return
 	}

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -144,6 +146,26 @@ func TestCellEndpointRejectsBadRequests(t *testing.T) {
 		if !errors.As(err, &apiErr) || apiErr.Code != api.CodeBadRequest || apiErr.Message == "" {
 			t.Errorf("%+v: error %v lacks the structured code/message", req, err)
 		}
+	}
+
+	// A body over maxRequestBytes is cut off while decoding, before any
+	// field is validated.
+	_, err := c.RunCell(context.Background(), api.CellRequest{Benchmarks: []string{"CG"}, Config: strings.Repeat("x", maxRequestBytes)})
+	assertBodyTooLarge(t, err)
+}
+
+// assertBodyTooLarge checks that err is the structured 400 a request body
+// over maxRequestBytes answers.
+func assertBodyTooLarge(t *testing.T, err error) {
+	t.Helper()
+	var apiErr *api.Error
+	if !errors.Is(err, api.ErrBadRequest) || !errors.As(err, &apiErr) || apiErr.Code != api.CodeBadRequest ||
+		!strings.Contains(apiErr.Message, "request body too large") {
+		msg := fmt.Sprint(err)
+		if len(msg) > 200 {
+			msg = msg[:200] + "…" // the echoed oversize field is 1 MiB long
+		}
+		t.Errorf("oversize body: error %s, want a bad_request naming the body limit", msg)
 	}
 }
 
@@ -430,6 +452,8 @@ func TestStudyAdmissionControl(t *testing.T) {
 			t.Errorf("%+v: error %v, want api.ErrBadRequest", req, err)
 		}
 	}
+	_, err = cBudget.SubmitStudy(ctx, api.StudyRequest{Study: strings.Repeat("s", maxRequestBytes)})
+	assertBodyTooLarge(t, err)
 
 	// A saturated server rejects the next study with over-budget.
 	hold := &holdBackend{release: make(chan struct{})}

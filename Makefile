@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race race-conc bench bench-cache bench-gate check ci check-golden update-golden figures figures-cached lmbench ablations profile fmt vet lint lint-conc lint-hot lint-fix lint-fix-clean pgo-fresh server-smoke shard-smoke clean
+.PHONY: build test test-short race race-conc bench bench-cache bench-gate check ci check-golden update-golden figures figures-cached lmbench ablations profile fmt vet lint lint-conc lint-hot lint-fix lint-fix-clean pgo-fresh perfbench-check server-smoke shard-smoke clean
 
 build:
 	$(GO) build ./...
@@ -120,6 +120,13 @@ bench-cache:
 # this run; a >20% drop in total cells/s against the parent fails.
 bench-gate:
 	./scripts/bench-gate.sh
+
+# Vet and self-test the benchmark harness under _perfbench/. It is its
+# own module, so `go build ./...` never compiles it: a change to the
+# core/api surface it drives would otherwise break only when the
+# benchmark runs.
+perfbench-check:
+	cd _perfbench && $(GO) vet . && $(GO) test .
 
 # End-to-end smoke gate for the experiment server: build cmd/xeond and
 # cmd/xeonctl, boot the daemon on loopback, run the single-program study

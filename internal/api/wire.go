@@ -157,19 +157,21 @@ type CellRequest struct {
 	Policy     string   `json:"policy,omitempty"`
 }
 
-// CellProgram is one program's outcome within a CellResponse. Counters
-// carries the program's non-zero hardware counters by event name — the
-// full-fidelity payload a remote backend rebuilds its RunResult from
-// (metrics are re-derived from counters on the receiving side, so a
-// served cell can never disagree with what counters.Derive produces
-// there); Metrics is the derived view for human readers and thin
-// clients.
+// CellProgram is the one per-program result record: the run cache and
+// study journals store it, CellResponse carries it, and the -json export
+// prints it. Counters carries the program's non-zero hardware counters
+// by event name — the full-fidelity payload every reader rebuilds its
+// result from (metrics are re-derived from counters on decode, so a
+// stored or served cell can never disagree with what counters.Derive
+// produces there). Metrics is the derived view for human readers and
+// thin clients: the wire and the export set it, cache and journal
+// payloads leave it nil, so their bytes carry no metrics key.
 type CellProgram struct {
 	Benchmark string            `json:"benchmark"`
 	Threads   int               `json:"threads"`
 	Cycles    int64             `json:"cycles"`
 	Counters  map[string]uint64 `json:"counters,omitempty"`
-	Metrics   counters.Metrics  `json:"metrics"`
+	Metrics   *counters.Metrics `json:"metrics,omitempty"`
 }
 
 // CellResponse is the POST /api/v1/cell response. Cached reports whether

@@ -10,7 +10,8 @@ import (
 
 // Process-wide observability series for the in-flight dedupe layer:
 // leaders computed a cell while identical requests waited; shared counts
-// the waiters that were served the leader's result instead of simulating.
+// the waiters that joined an identical in-flight cell instead of
+// simulating it.
 var (
 	obsFlightLeaders = obs.NewCounter(obs.MetricCoreFlightLeaders)
 	obsFlightShared  = obs.NewCounter(obs.MetricCoreFlightShared)
@@ -35,58 +36,86 @@ type Backend interface {
 	RunCell(ctx context.Context, w Workload, cfg config.Configuration, opt Options) (res *RunResult, cached bool, err error)
 }
 
-// localBackend is the in-process execution path: the run cache and
-// journal tiers when Options carries them, the cycle engine underneath.
-type localBackend struct{}
+// engine is the cycle engine as a Backend: every call simulates the
+// cell in process, with no cache or journal of its own.
+type engine struct{}
 
-// Local returns the in-process Backend — the execution path xeonchar and
-// sweep always used, now behind the seam. It is stateless; every call
-// reads its cache/journal wiring from the Options it is handed.
-func Local() Backend { return localBackend{} }
-
-func (localBackend) RunCell(ctx context.Context, w Workload, cfg config.Configuration, opt Options) (*RunResult, bool, error) {
+func (engine) RunCell(ctx context.Context, w Workload, cfg config.Configuration, opt Options) (*RunResult, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err
 	}
-	if opt.Cache == nil && opt.Journal == nil {
-		res, err := runUncached(w, cfg, opt)
-		return res, false, err
-	}
-	return runThroughCache(w, cfg, opt, func() (*RunResult, bool, error) {
-		res, err := runUncached(w, cfg, opt)
-		return res, false, err
-	})
+	res, err := runUncached(w, cfg, opt)
+	return res, false, err
 }
 
-// cachedBackend layers the run-cache and journal tiers of Options over
-// any inner backend.
+// local is built once so RunContext's default dispatch does not allocate.
+var local = Cached(engine{})
+
+// Local returns the in-process Backend, Cached(engine): the run cache
+// and journal tiers of the Options it is handed over the cycle engine.
+// It is stateless; every call reads its cache/journal wiring from opt.
+func Local() Backend { return local }
+
 type cachedBackend struct{ inner Backend }
 
-// Cached wraps inner with the same cache/journal tier the local backend
-// has built in: cells are served from Options.Cache or the replayed
-// Options.Journal when possible, and every cell the inner backend
-// returns is recorded to both. Local() does not need it; a remote or
-// sharded backend does — without it, a frontend daemon scattering cells
-// to workers would have no journal of its own to resume from and no
-// cache to serve warm reruns out of. Layer it innermost-but-one:
-// Dedupe(Gate(Cached(remote))).
+// Cached wraps inner with the one cache/journal tier of this package:
+// cells are served from Options.Cache or the replayed Options.Journal
+// when possible (a corrupt or stale entry is recomputed, never
+// trusted), and every cell the inner backend returns is recorded to
+// both. Local() is Cached over the cycle engine; a sharding frontend
+// needs it too — without it, a daemon scattering cells to workers would
+// have no journal of its own to resume from and no cache to serve warm
+// reruns out of. Layer it innermost-but-one: Dedupe(Gate(Cached(remote))).
 func Cached(inner Backend) Backend { return cachedBackend{inner: inner} }
 
 func (b cachedBackend) RunCell(ctx context.Context, w Workload, cfg config.Configuration, opt Options) (*RunResult, bool, error) {
 	if opt.Cache == nil && opt.Journal == nil {
 		return b.inner.RunCell(ctx, w, cfg, opt)
 	}
-	return runThroughCache(w, cfg, opt, func() (*RunResult, bool, error) {
+	hash, err := CacheKey(w, cfg, opt).Hash()
+	if err != nil {
+		// An unhashable key cannot happen with plain-data inputs; if it
+		// does, fall back to the uncached path rather than failing the run.
 		return b.inner.RunCell(ctx, w, cfg, opt)
-	})
+	}
+	if payload, ok := opt.Cache.Get(hash); ok {
+		if res, err := decodeRunResult(payload); err == nil {
+			return res, true, nil
+		}
+	}
+	if payload, ok := opt.Journal.Replayed(hash); ok {
+		if res, err := decodeRunResult(payload); err == nil {
+			// Promote into the cache so later lookups skip the journal map.
+			_ = opt.Cache.Put(hash, payload)
+			return res, true, nil
+		}
+	}
+	res, cached, err := b.inner.RunCell(ctx, w, cfg, opt)
+	if err != nil {
+		return nil, false, err
+	}
+	if payload, err := encodeRunResult(res); err == nil {
+		// Best effort: a full disk or read-only journal must not fail the
+		// simulation that just succeeded. Recorded even when the inner
+		// backend reports cached (a remote worker's warm cache): this
+		// tier's cache and journal are what make the *next* lookup, and a
+		// resumed study, local hits.
+		_ = opt.Cache.Put(hash, payload)
+		_ = opt.Journal.Append(hash, cellLabel(w, cfg, opt), payload)
+	}
+	return res, cached, nil
 }
 
 // flight is one in-progress cell computation; waiters block on done and
-// then read res/err, which the leader writes before closing the channel.
+// then read res/err/abandoned, which the leader writes before closing
+// the channel.
 type flight struct {
 	done chan struct{}
 	res  *RunResult
 	err  error
+	// abandoned reports that the leader failed because its own ctx was
+	// canceled: the error belongs to that caller, not to the cell.
+	abandoned bool
 }
 
 // Dedupe wraps a Backend with in-flight deduplication (the singleflight
@@ -98,10 +127,12 @@ type flight struct {
 //
 // This is what makes a shared experiment server cheap under redundant
 // load: two clients submitting the same sweep cost one simulation, and
-// the run cache only ever stores the cell once. A canceled waiter
-// returns its own ctx.Err and leaves the leader running; a leader whose
-// ctx is canceled propagates that error to every waiter of that flight,
-// and the next identical request starts a fresh computation.
+// the run cache only ever stores the cell once. Cancellation stays with
+// the caller that was canceled. A canceled waiter returns its own
+// ctx.Err and leaves the leader running. A leader canceled mid-cell
+// returns its ctx error, but its waiters do not inherit it: each waiter
+// whose own ctx is still live joins or leads a fresh flight for the
+// cell, so canceling one study job never ends an identical one.
 type Dedupe struct {
 	inner Backend
 
@@ -123,15 +154,24 @@ func (d *Dedupe) RunCell(ctx context.Context, w Workload, cfg config.Configurati
 	if err != nil {
 		return d.inner.RunCell(ctx, w, cfg, opt)
 	}
-	d.mu.Lock()
-	if f, ok := d.inflight[hash]; ok {
+	for {
+		d.mu.Lock()
+		f, ok := d.inflight[hash]
+		if !ok {
+			break // lead a fresh flight, still holding d.mu
+		}
 		d.mu.Unlock()
 		obsFlightShared.Inc()
 		select {
 		case <-f.done:
-			return f.res, true, f.err
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
+		}
+		if !f.abandoned {
+			return f.res, true, f.err
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, false, err
 		}
 	}
 	f := &flight{done: make(chan struct{})}
@@ -141,6 +181,7 @@ func (d *Dedupe) RunCell(ctx context.Context, w Workload, cfg config.Configurati
 	obsFlightLeaders.Inc()
 	res, cached, err := d.inner.RunCell(ctx, w, cfg, opt)
 	f.res, f.err = res, err
+	f.abandoned = err != nil && ctx.Err() != nil
 	d.mu.Lock()
 	delete(d.inflight, hash)
 	d.mu.Unlock()

@@ -177,6 +177,60 @@ func TestDedupeCanceledWaiterLeavesLeaderRunning(t *testing.T) {
 	}
 }
 
+// TestDedupeCanceledLeaderLeavesWaiterRunning pins that cancellation
+// stays with the caller that was canceled: when the leader of a flight
+// is canceled mid-cell, a waiter whose own ctx is live must not inherit
+// that error — it leads a fresh flight and gets the cell.
+func TestDedupeCanceledLeaderLeavesWaiterRunning(t *testing.T) {
+	cg, _ := profiles.ByName("CG")
+	cfg, _ := config.ByArch(config.CMPSMP)
+
+	inner := &countingBackend{hold: make(chan struct{})}
+	d := NewDedupe(inner)
+	opt := quickOptions()
+	opt.Backend = d
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	defer cancelLeader()
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, _, err := d.RunCell(leaderCtx, Single(cg), cfg, opt)
+		leaderDone <- err
+	}()
+	for inner.calls.Load() == 0 {
+		runtime.Gosched()
+	}
+	type outcome struct {
+		res *RunResult
+		err error
+	}
+	waiterDone := make(chan outcome, 1)
+	sharedBefore := obsFlightShared.Value()
+	go func() {
+		res, _, err := d.RunCell(context.Background(), Single(cg), cfg, opt)
+		waiterDone <- outcome{res, err}
+	}()
+	// Wait until the waiter has joined the leader's flight.
+	for obsFlightShared.Value() == sharedBefore {
+		runtime.Gosched()
+	}
+	cancelLeader()
+	if err := <-leaderDone; !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled leader returned %v, want context.Canceled", err)
+	}
+	close(inner.hold)
+	got := <-waiterDone
+	if got.err != nil {
+		t.Fatalf("waiter inherited the leader's cancellation: %v", got.err)
+	}
+	if got.res == nil {
+		t.Fatal("waiter: nil result")
+	}
+	if n := inner.calls.Load(); n != 2 {
+		t.Errorf("inner backend executed %d times, want 2 (canceled leader, then the waiter)", n)
+	}
+}
+
 func TestGateBoundsConcurrency(t *testing.T) {
 	cg, _ := profiles.ByName("CG")
 	ft, _ := profiles.ByName("FT")

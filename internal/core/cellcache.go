@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"xeonomp/internal/api"
 	"xeonomp/internal/config"
 	"xeonomp/internal/counters"
 	"xeonomp/internal/machine"
@@ -39,61 +40,6 @@ func cellLabel(w Workload, cfg config.Configuration, opt Options) string {
 	return fmt.Sprintf("%s|%s|seed=%d", w.Name(), cfg.Name, opt.Seed)
 }
 
-// runThroughCache serves a cell from the run cache or the replayed
-// journal when possible, running compute and recording its result
-// otherwise. It is the shared cache/journal tier of every backend that
-// carries one: the local backend's compute is the cycle engine
-// (runUncached), the Cached decorator's compute is its inner backend —
-// which is how a sharding frontend keeps a resumable journal of cells
-// that were simulated machines away. Decode failures — corrupt disk
-// entries, schema drift — degrade to recomputation. The cached return
-// reports whether the cell was served rather than computed; RunContext
-// owns the progress and metric accounting built on it.
-func runThroughCache(w Workload, cfg config.Configuration, opt Options, compute func() (*RunResult, bool, error)) (*RunResult, bool, error) {
-	hash, err := CacheKey(w, cfg, opt).Hash()
-	if err != nil {
-		// An unhashable key cannot happen with plain-data inputs; if it
-		// does, fall back to the uncached path rather than failing the run.
-		return compute()
-	}
-	if payload, ok := opt.Cache.Get(hash); ok {
-		if res, err := decodeRunResult(payload); err == nil {
-			return res, true, nil
-		}
-	}
-	if payload, ok := opt.Journal.Replayed(hash); ok {
-		if res, err := decodeRunResult(payload); err == nil {
-			// Promote into the cache so later lookups skip the journal map.
-			_ = opt.Cache.Put(hash, payload)
-			return res, true, nil
-		}
-	}
-	res, cached, err := compute()
-	if err != nil {
-		return nil, false, err
-	}
-	if payload, err := encodeRunResult(res); err == nil {
-		// Best effort: a full disk or read-only journal must not fail the
-		// simulation that just succeeded. Recorded even when the inner
-		// backend reports cached (a remote worker's warm cache): this
-		// tier's cache and journal are what make the *next* lookup, and a
-		// resumed study, local hits.
-		_ = opt.Cache.Put(hash, payload)
-		_ = opt.Journal.Append(hash, cellLabel(w, cfg, opt), payload)
-	}
-	return res, cached, nil
-}
-
-// cellProgram is the cache encoding of one ProgramResult. Metrics are
-// not stored: they are re-derived from the counters on decode, so a
-// cached result cannot disagree with what Derive produces today.
-type cellProgram struct {
-	Benchmark string            `json:"benchmark"`
-	Threads   int               `json:"threads"`
-	Cycles    int64             `json:"cycles"`
-	Counters  map[string]uint64 `json:"counters,omitempty"`
-}
-
 // cellSample is the cache encoding of one sampler window.
 type cellSample struct {
 	Start    int64             `json:"start"`
@@ -106,8 +52,53 @@ type cellResult struct {
 	Schema     string               `json:"schema"`
 	Config     config.Configuration `json:"config"`
 	WallCycles int64                `json:"wall_cycles"`
-	Programs   []cellProgram        `json:"programs"`
+	Programs   []api.CellProgram    `json:"programs"`
 	Samples    []cellSample         `json:"samples,omitempty"`
+}
+
+// EncodePrograms renders r's programs as the one per-program record the
+// run cache, the journal, the cell endpoint and the -json export share:
+// raw counters by event name, plus the derived metrics when withMetrics
+// is set (the wire and the export; cache and journal payloads omit them,
+// since DecodePrograms re-derives them anyway).
+func EncodePrograms(r *RunResult, withMetrics bool) []api.CellProgram {
+	out := make([]api.CellProgram, len(r.Programs))
+	for i := range r.Programs {
+		p := &r.Programs[i]
+		out[i] = api.CellProgram{
+			Benchmark: p.Benchmark,
+			Threads:   p.Threads,
+			Cycles:    p.Cycles,
+			Counters:  p.Counters.NonzeroMap(),
+		}
+		if withMetrics {
+			out[i].Metrics = &p.Metrics
+		}
+	}
+	return out
+}
+
+// DecodePrograms rebuilds program results from their records,
+// re-deriving the metrics from the raw counters so a decoded result can
+// never disagree with what counters.Derive produces; any Metrics in the
+// records are ignored. An unknown counter event is an error: the record
+// was written by different code.
+func DecodePrograms(in []api.CellProgram) ([]ProgramResult, error) {
+	out := make([]ProgramResult, len(in))
+	for i := range in {
+		set, err := counters.SetFromMap(in[i].Counters)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = ProgramResult{
+			Benchmark: in[i].Benchmark,
+			Threads:   in[i].Threads,
+			Cycles:    in[i].Cycles,
+			Counters:  set,
+			Metrics:   counters.Derive(&set),
+		}
+	}
+	return out, nil
 }
 
 // encodeRunResult serializes r for the run cache and journal.
@@ -116,15 +107,7 @@ func encodeRunResult(r *RunResult) ([]byte, error) {
 		Schema:     runSchemaVersion,
 		Config:     r.Config,
 		WallCycles: r.WallCycles,
-	}
-	for i := range r.Programs {
-		p := &r.Programs[i]
-		out.Programs = append(out.Programs, cellProgram{
-			Benchmark: p.Benchmark,
-			Threads:   p.Threads,
-			Cycles:    p.Cycles,
-			Counters:  p.Counters.NonzeroMap(),
-		})
+		Programs:   EncodePrograms(r, false),
 	}
 	for i := range r.Samples {
 		s := &r.Samples[i]
@@ -135,23 +118,6 @@ func encodeRunResult(r *RunResult) ([]byte, error) {
 		})
 	}
 	return json.Marshal(out)
-}
-
-// ProgramFromCounters rebuilds one program's result from its raw counter
-// map (the cache, journal and wire encoding), re-deriving the metrics so
-// a decoded result can never disagree with what counters.Derive produces.
-func ProgramFromCounters(benchmark string, threads int, cycles int64, raw map[string]uint64) (ProgramResult, error) {
-	set, err := counters.SetFromMap(raw)
-	if err != nil {
-		return ProgramResult{}, err
-	}
-	return ProgramResult{
-		Benchmark: benchmark,
-		Threads:   threads,
-		Cycles:    cycles,
-		Counters:  set,
-		Metrics:   counters.Derive(&set),
-	}, nil
 }
 
 // decodeRunResult rebuilds a RunResult from a cache or journal payload.
@@ -165,14 +131,11 @@ func decodeRunResult(payload []byte) (*RunResult, error) {
 	if in.Schema != runSchemaVersion {
 		return nil, fmt.Errorf("core: cached result schema %q, want %q", in.Schema, runSchemaVersion)
 	}
-	res := &RunResult{Config: in.Config, WallCycles: in.WallCycles}
-	for _, p := range in.Programs {
-		pr, err := ProgramFromCounters(p.Benchmark, p.Threads, p.Cycles, p.Counters)
-		if err != nil {
-			return nil, err
-		}
-		res.Programs = append(res.Programs, pr)
+	progs, err := DecodePrograms(in.Programs)
+	if err != nil {
+		return nil, err
 	}
+	res := &RunResult{Config: in.Config, WallCycles: in.WallCycles, Programs: progs}
 	for _, s := range in.Samples {
 		set, err := counters.SetFromMap(s.Counters)
 		if err != nil {

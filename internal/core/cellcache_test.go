@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -12,7 +14,9 @@ import (
 	"testing"
 
 	"xeonomp/internal/config"
+	"xeonomp/internal/counters"
 	"xeonomp/internal/journal"
+	"xeonomp/internal/machine"
 	"xeonomp/internal/profiles"
 	"xeonomp/internal/runcache"
 )
@@ -163,6 +167,85 @@ func TestRunResultCodecRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res, back) {
 		t.Fatal("codec round trip changed the result")
+	}
+}
+
+// recordFixture is a fixed synthetic cell — two programs, one sampler
+// window, no simulation — whose encoded record bytes the tests pin.
+func recordFixture(t *testing.T) *RunResult {
+	t.Helper()
+	cfg, err := config.ByArch(config.SMP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cg, ft, window counters.Set
+	cg.Add(counters.Cycles, 1000)
+	cg.Add(counters.Instructions, 800)
+	cg.Add(counters.L1DAccess, 300)
+	cg.Add(counters.L1DMiss, 12)
+	ft.Add(counters.Cycles, 900)
+	ft.Add(counters.Instructions, 450)
+	ft.Add(counters.BranchRetired, 90)
+	ft.Add(counters.BranchMispredicted, 3)
+	window.Merge(&cg)
+	window.Merge(&ft)
+	return &RunResult{
+		Config:     cfg,
+		WallCycles: 1000,
+		Programs: []ProgramResult{
+			{Benchmark: "CG", Threads: 1, Cycles: 1000, Counters: cg, Metrics: counters.Derive(&cg)},
+			{Benchmark: "FT", Threads: 1, Cycles: 900, Counters: ft, Metrics: counters.Derive(&ft)},
+		},
+		Samples: []machine.Sample{{Start: 0, End: 1000, Counters: window}},
+	}
+}
+
+// TestRecordBytesPinned pins the cache/journal payload of a fixed cell
+// byte for byte. Changing these bytes orphans every on-disk cache and
+// journal entry, so a change that breaks this test must bump
+// runSchemaVersion alongside. The payload carries raw counters only; the
+// -json export of the same cell carries the derived metrics too.
+func TestRecordBytesPinned(t *testing.T) {
+	res := recordFixture(t)
+	payload, err := encodeRunResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"schema":"xeonomp/run/v1","config":{"Name":"HT off -2-2","Arch":"SMP","HT":false,"Threads":2,"Chips":2,"Contexts":[{"Chip":0,"Core":0,"Thread":0},{"Chip":1,"Core":0,"Thread":0}],"Labels":["B0","B2"]},"wall_cycles":1000,"programs":[{"benchmark":"CG","threads":1,"cycles":1000,"counters":{"cycles":1000,"instructions":800,"l1d_access":300,"l1d_miss":12}},{"benchmark":"FT","threads":1,"cycles":900,"counters":{"branch_mispredicted":3,"branch_retired":90,"cycles":900,"instructions":450}}],"samples":[{"start":0,"end":1000,"counters":{"branch_mispredicted":3,"branch_retired":90,"cycles":1900,"instructions":1250,"l1d_access":300,"l1d_miss":12}}]}`
+	if string(payload) != want {
+		t.Errorf("cache payload changed without a schema bump:\n got %s\nwant %s", payload, want)
+	}
+	if bytes.Contains(payload, []byte(`"metrics"`)) {
+		t.Error("cache payload stores derived metrics; they must be re-derived on decode")
+	}
+	back, err := decodeRunResult(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, back) {
+		t.Error("pinned payload does not decode back to the cell")
+	}
+
+	var buf bytes.Buffer
+	if err := res.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var export struct {
+		Programs []struct {
+			Benchmark string            `json:"benchmark"`
+			Metrics   *counters.Metrics `json:"metrics"`
+		} `json:"programs"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &export); err != nil {
+		t.Fatal(err)
+	}
+	if len(export.Programs) != len(res.Programs) {
+		t.Fatalf("export has %d programs, want %d", len(export.Programs), len(res.Programs))
+	}
+	for i, p := range export.Programs {
+		if p.Metrics == nil || *p.Metrics != res.Programs[i].Metrics {
+			t.Errorf("export of %s carries metrics %v, want %v", p.Benchmark, p.Metrics, res.Programs[i].Metrics)
+		}
 	}
 }
 

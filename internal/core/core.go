@@ -77,9 +77,11 @@ type Options struct {
 	// identical by contract (the equivalence tests pin this); the switch
 	// exists for those tests and for A/B benchmarking the engine.
 	Reference bool
-	// Backend executes the cells. nil selects Local(), the in-process
-	// path; the experiment server layers Dedupe and Gate on top, and the
-	// seam is where a remote shard would plug in. Backends never affect
+	// Backend executes the cells. nil selects Local(), which is
+	// Cached over the cycle engine: the Cache and Journal above are read
+	// and written by the Cached tier, whichever backend sits under it.
+	// The experiment server layers Dedupe and Gate on top, and a sharding
+	// frontend puts Cached over shard.Shard. Backends never affect
 	// results — a cell's identity (CacheKey) deliberately excludes the
 	// backend, and the golden artifacts pin the equivalence.
 	Backend Backend

@@ -4,48 +4,24 @@ import (
 	"encoding/json"
 	"io"
 
-	"xeonomp/internal/counters"
+	"xeonomp/internal/api"
 )
-
-// exportProgram is the JSON shape of one program's results.
-type exportProgram struct {
-	Benchmark string            `json:"benchmark"`
-	Threads   int               `json:"threads"`
-	Cycles    int64             `json:"cycles"`
-	Counters  map[string]uint64 `json:"counters"`
-	Metrics   counters.Metrics  `json:"metrics"`
-}
 
 // exportRun is the JSON shape of one run.
 type exportRun struct {
-	Config     string          `json:"config"`
-	Arch       string          `json:"architecture"`
-	WallCycles int64           `json:"wall_cycles"`
-	Programs   []exportProgram `json:"programs"`
+	Config     string            `json:"config"`
+	Arch       string            `json:"architecture"`
+	WallCycles int64             `json:"wall_cycles"`
+	Programs   []api.CellProgram `json:"programs"`
 }
 
 func exportOf(r *RunResult) exportRun {
-	out := exportRun{
+	return exportRun{
 		Config:     r.Config.Name,
 		Arch:       string(r.Config.Arch),
 		WallCycles: r.WallCycles,
+		Programs:   EncodePrograms(r, true),
 	}
-	for _, p := range r.Programs {
-		ep := exportProgram{
-			Benchmark: p.Benchmark,
-			Threads:   p.Threads,
-			Cycles:    p.Cycles,
-			Counters:  map[string]uint64{},
-			Metrics:   p.Metrics,
-		}
-		for _, e := range counters.Events() {
-			if v := p.Counters.Get(e); v != 0 {
-				ep.Counters[e.String()] = v
-			}
-		}
-		out.Programs = append(out.Programs, ep)
-	}
-	return out
 }
 
 // WriteJSON serializes the run result (configuration, wall clock, and per

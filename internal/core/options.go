@@ -85,8 +85,9 @@ func WithProgress(p *journal.Progress) Option {
 	return func(o *Options) { o.Progress = p }
 }
 
-// WithBackend routes cell execution through b (nil = Local()); see the
-// Backend interface for the seam's contract.
+// WithBackend routes cell execution through b (nil = Local(), that is
+// Cached over the cycle engine); see the Backend interface for the
+// seam's contract.
 func WithBackend(b Backend) Option {
 	return func(o *Options) { o.Backend = b }
 }

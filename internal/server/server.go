@@ -313,21 +313,14 @@ func (s *Server) handleCell(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)
 		return
 	}
-	resp := api.CellResponse{WallCycles: res.WallCycles, Cached: capture.cached}
-	for i := range res.Programs {
-		p := &res.Programs[i]
-		resp.Programs = append(resp.Programs, api.CellProgram{
-			Benchmark: p.Benchmark,
-			Threads:   p.Threads,
-			Cycles:    p.Cycles,
-			// Raw counters travel alongside the derived metrics: a remote
-			// backend rebuilds its RunResult (and its own cache/journal
-			// payloads) from them, re-deriving metrics on its side.
-			Counters: p.Counters.NonzeroMap(),
-			Metrics:  p.Metrics,
-		})
-	}
-	writeJSON(w, http.StatusOK, resp)
+	// Raw counters travel alongside the derived metrics: a remote backend
+	// rebuilds its RunResult (and its own cache/journal payloads) from
+	// them, re-deriving metrics on its side.
+	writeJSON(w, http.StatusOK, api.CellResponse{
+		Cached:     capture.cached,
+		WallCycles: res.WallCycles,
+		Programs:   core.EncodePrograms(res, true),
+	})
 }
 
 // handleStudySubmit admits, registers, and starts one study job,

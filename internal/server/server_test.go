@@ -106,6 +106,15 @@ func TestCellEndpoint(t *testing.T) {
 	if len(resp.Programs[0].Counters) == 0 {
 		t.Fatal("cell response carries no raw counters; remote backends cannot rebuild results without them")
 	}
+	// Unlike cache and journal payloads, the wire record carries the
+	// derived metrics next to the counters they derive from.
+	progs, err := core.DecodePrograms(resp.Programs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := resp.Programs[0].Metrics; m == nil || *m != progs[0].Metrics {
+		t.Errorf("cell response metrics %v, want %v", m, progs[0].Metrics)
+	}
 
 	// The same cell again: no cache is configured, so it recomputes and
 	// still reports cached=false; with a cache it must flip to true.

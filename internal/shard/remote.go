@@ -139,7 +139,6 @@ func rebuild(resp api.CellResponse, cfg config.Configuration, w core.Workload) (
 	if len(resp.Programs) != len(w.Programs) {
 		return nil, fmt.Errorf("cell response has %d programs, want %d", len(resp.Programs), len(w.Programs))
 	}
-	res := &core.RunResult{Config: cfg, WallCycles: resp.WallCycles}
 	for i := range resp.Programs {
 		p := &resp.Programs[i]
 		if p.Benchmark != w.Programs[i].Name {
@@ -148,13 +147,12 @@ func rebuild(resp api.CellResponse, cfg config.Configuration, w core.Workload) (
 		if len(p.Counters) == 0 {
 			return nil, fmt.Errorf("cell response for %s carries no raw counters; the worker predates the counters field", p.Benchmark)
 		}
-		pr, err := core.ProgramFromCounters(p.Benchmark, p.Threads, p.Cycles, p.Counters)
-		if err != nil {
-			return nil, err
-		}
-		res.Programs = append(res.Programs, pr)
 	}
-	return res, nil
+	progs, err := core.DecodePrograms(resp.Programs)
+	if err != nil {
+		return nil, err
+	}
+	return &core.RunResult{Config: cfg, WallCycles: resp.WallCycles, Programs: progs}, nil
 }
 
 // sleep waits d, honoring ctx cancellation.

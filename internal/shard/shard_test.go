@@ -126,6 +126,37 @@ func TestRemoteRejectsInexpressibleOptions(t *testing.T) {
 	}
 }
 
+// TestRemoteRejectsMalformedReplies pins Remote's checks on what a
+// worker sends back: a reply that does not describe the requested cell
+// is an error, never a RunResult.
+func TestRemoteRejectsMalformedReplies(t *testing.T) {
+	for _, tc := range []struct {
+		name, body, want string
+	}{
+		{"program count", `{"wall_cycles":10,"programs":[]}`, "has 0 programs"},
+		{"benchmark name", `{"wall_cycles":10,"programs":[{"benchmark":"FT","threads":1,"cycles":10,"counters":{"cycles":10}}]}`, `is "FT", want "CG"`},
+		{"no counters", `{"wall_cycles":10,"programs":[{"benchmark":"CG","threads":1,"cycles":10}]}`, "no raw counters"},
+		{"unknown event", `{"wall_cycles":10,"programs":[{"benchmark":"CG","threads":1,"cycles":10,"counters":{"warp_drive":1}}]}`, "unknown counter event"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				// Test fixture; a failed write fails the assertions below.
+				_, _ = w.Write([]byte(tc.body))
+			}))
+			defer ts.Close()
+			w, cfg, opt := testCell(t)
+			res, _, err := shard.NewRemote(api.NewClient(ts.URL)).RunCell(context.Background(), w, cfg, opt)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("reply %s: error %v, want one containing %q", tc.body, err, tc.want)
+			}
+			if res != nil {
+				t.Errorf("reply %s: returned a RunResult", tc.body)
+			}
+		})
+	}
+}
+
 // TestRemoteRetriesOverBudget pins the 429 path: a worker that rejects
 // the first attempts is retried with backoff until it admits the cell.
 func TestRemoteRetriesOverBudget(t *testing.T) {
